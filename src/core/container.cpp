@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/rounds.h"
 #include "trace/sink.h"
 #include "util/check.h"
 #include "util/log.h"
@@ -539,13 +540,7 @@ des::Task<ProtocolReport> Container::do_activate(
 }
 
 des::Process Container::manager_loop() {
-  // Replies to the mutating protocol rounds, keyed by request token. A GM
-  // retry (or a fault-injected duplicate) re-delivers the same token;
-  // replaying the cached reply keeps each request at-most-once — a resize
-  // must not execute twice because its DONE was lost in flight. Bounded:
-  // only the newest entries are kept.
-  constexpr std::size_t kReplyCacheSize = 64;
-  std::vector<std::pair<std::uint64_t, ev::Message>> served;
+  ReplyCache replies;
   while (true) {
     // Re-resolve every iteration: an injected node crash (or a fence)
     // destroys the endpoint while this loop is suspended in a handler.
@@ -554,20 +549,10 @@ des::Process Container::manager_loop() {
     auto msg = co_await ep->mailbox().get();
     if (!msg.has_value()) break;
 
-    const bool mutating =
-        msg->type_id == kMidIncrease || msg->type_id == kMidDecrease ||
-        msg->type_id == kMidOffline || msg->type_id == kMidActivate;
-    if (mutating && msg->token != 0) {
-      bool replayed = false;
-      for (const auto& [tok, cached] : served) {
-        if (tok == msg->token) {
-          ev::Message again = cached;
-          co_await env_.bus->post(mgr_ep_, msg->from, std::move(again));
-          replayed = true;
-          break;
-        }
-      }
-      if (replayed) continue;
+    if (const ev::Message* cached = replies.find(*msg)) {
+      ev::Message again = *cached;
+      co_await env_.bus->post(mgr_ep_, msg->from, std::move(again));
+      continue;
     }
 
     ev::Message reply;
@@ -628,10 +613,7 @@ des::Process Container::manager_loop() {
                << msg->type();
       continue;
     }
-    if (mutating && msg->token != 0) {
-      if (served.size() >= kReplyCacheSize) served.erase(served.begin());
-      served.emplace_back(msg->token, reply);
-    }
+    replies.record(*msg, reply);
     co_await env_.bus->post(mgr_ep_, msg->from, std::move(reply));
   }
 }

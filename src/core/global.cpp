@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/rounds.h"
 #include "trace/sink.h"
 #include "util/check.h"
 #include "util/log.h"
@@ -17,7 +16,8 @@ GlobalManager::GlobalManager(Container::Env env, const PipelineSpec& spec,
       pool_(pool),
       containers_(std::move(containers)),
       opt_(opt),
-      hub_(opt.monitoring_window) {
+      hub_(opt.monitoring_window),
+      trace_(*env_.sim) {
   // The GM lives on its own node; by convention the deployment reserves
   // node 1 for it.
   mon_ep_ = env_.bus->open(1, "gm.monitor").id();
@@ -26,8 +26,8 @@ GlobalManager::GlobalManager(Container::Env env, const PipelineSpec& spec,
     c->set_gm_endpoint(mon_ep_);
     // Current state, not the spec's: a failover GM inherits containers that
     // may have been activated or taken offline since launch.
-    fsm_.emplace(c->name(), ProtocolFsm(c->online() ? CmState::kIdle
-                                                    : CmState::kOffline));
+    trace_.track(c->name(),
+                 c->online() ? CmState::kIdle : CmState::kOffline);
   }
 }
 
@@ -61,11 +61,6 @@ void GlobalManager::shutdown() {
 const std::string& GlobalManager::manager_id() const {
   static const std::string kId = "gm";
   return kId;
-}
-
-CmState GlobalManager::cm_state(const std::string& container) const {
-  auto it = fsm_.find(container);
-  return it == fsm_.end() ? CmState::kIdle : it->second.state();
 }
 
 Container* GlobalManager::find(const std::string& name) const {
@@ -108,37 +103,6 @@ des::Process GlobalManager::policy_loop() {
   }
 }
 
-void GlobalManager::trace_control(const std::string& container,
-                                  const std::string& type, bool to_cm,
-                                  int delta) {
-  ControlTraceEvent ev;
-  ev.at = env_.sim->now();
-  ev.container = container;
-  ev.type = type;
-  ev.to_cm = to_cm;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));
-  auto it = fsm_.find(container);
-  if (it != fsm_.end()) {
-    const bool legal = it->second.advance(type);
-    IOC_CHECK(legal) << "protocol violation: " << type << " for container "
-                     << container << " in state "
-                     << cm_state_name(it->second.state());
-    (void)legal;
-  }
-}
-
-void GlobalManager::trace_marker(const std::string& container,
-                                 const char* marker, int delta) {
-  ControlTraceEvent ev;
-  ev.at = env_.sim->now();
-  ev.container = container;
-  ev.type = marker;
-  ev.to_cm = true;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));  // markers never advance the FSM
-}
-
 des::Task<ev::Message> GlobalManager::escalate_fence(Container* c,
                                                      std::uint64_t token) {
   const std::string name = c->name();
@@ -161,10 +125,7 @@ des::Task<ev::Message> GlobalManager::escalate_fence(Container* c,
   // The recorded delta is the pool's view; the lint replay settles the
   // fenced container's width to zero regardless (an in-flight grant may not
   // have reached the trace ledger yet).
-  trace_marker(name, kMarkEscalate, -static_cast<int>(freed.size()));
-  if (auto it = fsm_.find(name); it != fsm_.end()) {
-    it->second.reset(CmState::kOffline);
-  }
+  trace_.escalate(name, -static_cast<int>(freed.size()));
   recompute_sinks();
   ProtocolReport rep;
   rep.action = "fence";
@@ -190,8 +151,8 @@ des::Task<ev::Message> GlobalManager::request_cm(Container* c,
                                                  ev::Message m) {
   const std::string_view type = m.type();
   const des::SimTime t0 = env_.sim->now();
-  trace_control(c->name(), std::string(m.type()), /*to_cm=*/true, 0);
-  const CmState from = cm_state(c->name());
+  trace_.control(c->name(), type, /*to_cm=*/true, 0);
+  const CmState from = trace_.state(c->name());
   // One token for the whole round, retries included: the CM-side reply
   // cache recognizes a resend and replays its answer instead of executing
   // the request a second time.
@@ -202,13 +163,7 @@ des::Task<ev::Message> GlobalManager::request_cm(Container* c,
   ropt.retries = opt_.cm_retries;
   ropt.backoff = opt_.cm_backoff;
   ropt.backoff_cap = opt_.cm_backoff_cap;
-  RoundHooks hooks;
-  hooks.peer = c->name();
-  hooks.trace = env_.trace;
-  const std::string cname = c->name();
-  hooks.on_marker = [this, cname](const char* marker) {
-    trace_marker(cname, marker);
-  };
+  const RoundHooks hooks{c->name(), &trace_, env_.trace};
   ev::Message reply = co_await run_control_round(
       *env_.bus, ctl_ep_, c->manager_endpoint(), std::move(m), ropt, hooks);
   if (reply.type_id == ev::kMidErrClosed) {
@@ -225,12 +180,12 @@ des::Task<ev::Message> GlobalManager::request_cm(Container* c,
   }
   int delta = 0;
   if (const auto* done = reply.as<DonePayload>()) delta = done->report.delta;
-  trace_control(c->name(), std::string(reply.type()), /*to_cm=*/false, delta);
+  trace_.control(c->name(), reply.type(), /*to_cm=*/false, delta);
   // One span per Fig. 3 control round, labeled with the FSM edge the round
   // drove, so a trace shows both what a round cost and why it was legal.
   if (trace::active(env_.trace)) {
     const std::string edge = std::string(cm_state_name(from)) + " -> " +
-                             cm_state_name(cm_state(c->name()));
+                             cm_state_name(trace_.state(c->name()));
     env_.trace->span(type, "control", c->name(), 0, t0,
                      env_.sim->now(),
                      {{"delta", static_cast<double>(delta)}}, edge);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,8 +14,8 @@
 #include "core/container.h"
 #include "core/manager_if.h"
 #include "core/protocol.h"
-#include "core/protocol_fsm.h"
 #include "core/resources.h"
+#include "core/rounds.h"
 #include "core/spec.h"
 #include "des/process.h"
 #include "ev/bus.h"
@@ -82,12 +81,8 @@ class GlobalManager : public ManagerIf {
   /// Every control message this manager exchanged with a CM, in order; feed
   /// it to lint::check_trace to audit a run offline.
   const std::vector<ControlTraceEvent>& control_trace() const override {
-    return trace_;
+    return trace_.events();
   }
-  /// Current Fig. 3 protocol state of a container's manager (kIdle when the
-  /// container is unknown); control-round spans label their FSM edge with
-  /// this.
-  CmState cm_state(const std::string& container) const;
   Container* find(const std::string& name) const;
 
   // --- protocol drivers ---------------------------------------------------
@@ -138,14 +133,6 @@ class GlobalManager : public ManagerIf {
   /// in offline_cascade), fence the container, and repair the pool. Returns
   /// the kErrFenced reply request_cm hands to its caller.
   des::Task<ev::Message> escalate_fence(Container* c, std::uint64_t token);
-  /// Append to the control trace and, in debug builds, assert the message
-  /// is legal for the container's Fig. 3 protocol state.
-  void trace_control(const std::string& container, const std::string& type,
-                     bool to_cm, int delta);
-  /// Append a robustness marker (TIMEOUT/RETRY/ESCALATE) to the control
-  /// trace. Markers never touch the FSM.
-  void trace_marker(const std::string& container, const char* marker,
-                    int delta = 0);
   void log_event(const std::string& action, const std::string& container,
                  const std::string& reason, int delta,
                  ProtocolReport report);
@@ -164,10 +151,7 @@ class GlobalManager : public ManagerIf {
   ev::EndpointId mon_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId ctl_ep_ = ev::kInvalidEndpoint;
   std::vector<ManagementEvent> events_;
-  std::vector<ControlTraceEvent> trace_;
-  /// Per-container Fig. 3 protocol state, advanced alongside the trace so
-  /// debug builds catch illegal sequences at the moment they happen.
-  std::map<std::string, ProtocolFsm> fsm_;
+  ControlTrace trace_;
   bool stopping_ = false;
   bool failed_ = false;
   des::Process mon_proc_;

@@ -1,7 +1,7 @@
 #include "ev/intern.h"
 
-#include <cassert>
 #include <deque>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -73,14 +73,23 @@ Table& table() {
 }  // namespace
 
 MessageId intern_type(std::string_view s) {
+  if (const auto id = find_type(s)) return *id;
   Table& t = table();
-  auto it = t.ids.find(s);
-  if (it != t.ids.end()) return it->second;
   // 16 bits is deliberate head-room policing: the control plane has a few
   // dozen type strings, so running into the cap means someone is interning
-  // unbounded data (e.g. a per-instance name) as a message type.
-  assert(t.views.size() < 65535 && "message-type intern table overflow");
+  // unbounded data (e.g. a per-instance name) as a message type. Checked in
+  // every build: a wrapped id would alias a canonical type like INCREASE_REQ.
+  if (t.views.size() >= 65535) {
+    throw std::length_error("message-type intern table overflow");
+  }
   return t.add(s);
+}
+
+std::optional<MessageId> find_type(std::string_view s) {
+  const Table& t = table();
+  auto it = t.ids.find(s);
+  if (it == t.ids.end()) return std::nullopt;
+  return it->second;
 }
 
 std::string_view type_name(MessageId id) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace ioc::ev {
@@ -24,8 +25,13 @@ inline constexpr MessageId kNoMessageId = 0;
 
 /// Intern `s`, returning its MessageId. Allocates only for strings never
 /// seen before; the canonical vocabulary is preregistered so steady-state
-/// calls are pure hash probes.
+/// calls are pure hash probes. Throws std::length_error once the 16-bit id
+/// space is exhausted rather than wrap onto an existing type.
 MessageId intern_type(std::string_view s);
+
+/// The MessageId of an already-interned `s`, or nullopt. Never grows the
+/// table: decoders of bytes from outside the process resolve types here.
+std::optional<MessageId> find_type(std::string_view s);
 
 /// The string behind `id` — stable for the process lifetime, "" for
 /// unknown ids.

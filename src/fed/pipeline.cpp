@@ -71,65 +71,46 @@ des::Process FedPipeline::service_loop() {
                << " from non-owner endpoint " << msg->from;
       continue;
     }
-    if (auto hit = replay_.find(msg->token); hit != replay_.end()) {
+    if (const ev::Message* cached = replies_.find(*msg)) {
       // Retry/duplicate of a round already applied: replay the recorded
       // reply (the at-most-once half of the Fig. 3 robustness story).
-      ev::Message copy = hit->second;
+      ev::Message copy = *cached;
       co_await bus_->post(ep_, msg->from, std::move(copy));
       continue;
     }
 
-    ev::Message reply;
-    reply.token = msg->token;
-    if (msg->type_id == core::kMidIncrease) {
-      const auto* pay = msg->as<core::IncreasePayload>();
-      co_await des::delay(sim, opt_.apply_delay);
-      if (fenced_ || bus_->find(ep_) == nullptr) break;  // fenced mid-apply
-      std::size_t added = 0;
-      if (pay != nullptr) {
-        nodes_.insert(nodes_.end(), pay->nodes.begin(), pay->nodes.end());
-        added = pay->nodes.size();
-      }
-      ++resizes_applied_;
-      core::DonePayload done;
-      done.report.action = "increase";
-      done.report.container = name_;
-      done.report.delta = static_cast<int>(added);
-      done.report.total = opt_.apply_delay;
-      done.report.ok = true;
-      reply.type_id = core::kMidDone;
-      reply.payload = std::move(done);
-    } else if (msg->type_id == core::kMidDecrease) {
-      const auto* pay = msg->as<core::DecreasePayload>();
-      co_await des::delay(sim, opt_.apply_delay);
-      if (fenced_ || bus_->find(ep_) == nullptr) break;
-      std::size_t k = pay != nullptr ? pay->count : 0;
-      k = std::min(k, nodes_.size());
-      std::vector<net::NodeId> freed(nodes_.end() - static_cast<long>(k),
-                                     nodes_.end());
-      nodes_.resize(nodes_.size() - k);
-      ++resizes_applied_;
-      core::DonePayload done;
-      done.report.action = "decrease";
-      done.report.container = name_;
-      done.report.delta = -static_cast<int>(k);
-      done.report.total = opt_.apply_delay;
-      done.report.ok = true;
-      done.freed_nodes = std::move(freed);
-      reply.type_id = core::kMidDone;
-      reply.payload = std::move(done);
-    } else if (msg->type_id == core::kMidQueryNeeds) {
-      core::NeedsPayload needs;
-      needs.extra_nodes = target_ > width()
-                              ? static_cast<std::uint32_t>(target_ - width())
-                              : 0;
-      reply.type_id = core::kMidNeeds;
-      reply.payload = needs;
-    } else {
+    const bool grow = msg->type_id == core::kMidIncrease;
+    if (!grow && msg->type_id != core::kMidDecrease) {
       continue;  // not part of the resize conversation
     }
+    co_await des::delay(sim, opt_.apply_delay);
+    if (fenced_ || bus_->find(ep_) == nullptr) break;  // fenced mid-apply
+    core::DonePayload done;
+    if (grow) {
+      if (const auto* pay = msg->as<core::IncreasePayload>()) {
+        nodes_.insert(nodes_.end(), pay->nodes.begin(), pay->nodes.end());
+        done.report.delta = static_cast<int>(pay->nodes.size());
+      }
+    } else {
+      const auto* pay = msg->as<core::DecreasePayload>();
+      const std::size_t k = std::min<std::size_t>(
+          pay != nullptr ? pay->count : 0, nodes_.size());
+      done.freed_nodes.assign(nodes_.end() - static_cast<long>(k),
+                              nodes_.end());
+      nodes_.resize(nodes_.size() - k);
+      done.report.delta = -static_cast<int>(k);
+    }
+    ++resizes_applied_;
+    done.report.action = grow ? "increase" : "decrease";
+    done.report.container = name_;
+    done.report.total = opt_.apply_delay;
+    done.report.ok = true;
+    ev::Message reply;
+    reply.type_id = core::kMidDone;
+    reply.token = msg->token;
+    reply.payload = std::move(done);
     note_converged();
-    replay_[msg->token] = reply;
+    replies_.record(*msg, reply);
     co_await bus_->post(ep_, msg->from, std::move(reply));
   }
 }

@@ -2,13 +2,14 @@
 // analytics pipeline, reduced to what the federation control plane needs.
 // Where core::Container models a full container (components, DataTap
 // streams, metadata exchange), FedPipeline models only the Fig. 3 resize
-// conversation — apply an INCREASE/DECREASE after a fixed delay, answer
-// QUERY_NEEDS, reply DONE — so a fleet of thousands of pipelines stays
-// cheap enough to chaos-soak.
+// conversation — apply an INCREASE/DECREASE after a fixed delay, reply
+// DONE — so a fleet of thousands of pipelines stays cheap enough to
+// chaos-soak.
 //
-// Robustness pieces mirrored from the real CM:
-//  * a token -> reply cache: a retried or duplicated round request replays
-//    the recorded answer instead of resizing twice (at-most-once);
+// Robustness pieces:
+//  * the same bounded token -> reply cache as the real CM
+//    (core::ReplyCache): a retried or duplicated round request replays the
+//    recorded answer instead of resizing twice (at-most-once);
 //  * an owner filter: only the shard currently owning this pipeline may
 //    drive it. Failover re-points the owner atomically (in sim time) with
 //    the ledger reconcile, so a resize a dead shard launched before it was
@@ -18,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "core/rounds.h"
 #include "des/process.h"
 #include "des/time.h"
 #include "ev/bus.h"
@@ -76,6 +77,9 @@ class FedPipeline {
   }
   std::uint64_t resizes_applied() const { return resizes_applied_; }
   std::uint64_t stale_owner_drops() const { return stale_owner_drops_; }
+  /// Round replies held for at-most-once replay (at most
+  /// core::ReplyCache::kCapacity).
+  std::size_t cached_replies() const { return replies_.size(); }
 
  private:
   des::Process service_loop();
@@ -94,7 +98,7 @@ class FedPipeline {
   std::vector<des::SimTime> resize_latencies_;
   std::uint64_t resizes_applied_ = 0;
   std::uint64_t stale_owner_drops_ = 0;
-  std::map<std::uint64_t, ev::Message> replay_;  // round token -> reply
+  core::ReplyCache replies_;
   des::Process proc_;
 };
 

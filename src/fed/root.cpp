@@ -27,7 +27,11 @@ bool is_round_error(const ev::Message& r) {
 }  // namespace
 
 Root::Root(ev::Bus& bus, net::NodeId node, Options opt)
-    : bus_(&bus), node_(node), opt_(opt), ring_(opt.ring_vnodes) {
+    : bus_(&bus),
+      node_(node),
+      opt_(opt),
+      ring_(opt.ring_vnodes),
+      trace_(bus.sim()) {
   ctl_ep_ = bus_->open(node_, "fed.root.ctl").id();
   trade_ep_ = bus_->open(node_, "fed.root.trade").id();
 }
@@ -60,17 +64,6 @@ Shard* Root::find_shard(const std::string& id) const {
     if (s->manager_id() == id) return s;
   }
   return nullptr;
-}
-
-void Root::trace_marker(const std::string& container, const char* marker,
-                        int delta) {
-  core::ControlTraceEvent ev;
-  ev.at = bus_->sim().now();
-  ev.container = container;
-  ev.type = marker;
-  ev.to_cm = true;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));
 }
 
 des::Process Root::service_loop() {
@@ -118,7 +111,7 @@ void Root::failover(Shard* s) {
   s->fence();
   heir_[dead] = heir_id;
   ++stats_.failovers;
-  trace_marker(dead, core::kMarkFailover);
+  trace_.marker(dead, core::kMarkFailover);
   IOC_WARN << "root fencing shard " << dead << " (heartbeat timeout); heir "
            << (heir_id.empty() ? "<none>" : heir_id);
 
@@ -145,8 +138,8 @@ void Root::failover(Shard* s) {
     target->pool().attach(p->name(), nodes);
     target->adopt(p);
     ++stats_.pipelines_reassigned;
-    trace_marker(p->name(), core::kMarkReassign,
-                 static_cast<int>(nodes.size()));
+    trace_.marker(p->name(), core::kMarkReassign,
+                  static_cast<int>(nodes.size()));
   }
 
   // Leftover spares drain to the heir (escrowed nodes stay put: the trade
@@ -221,12 +214,9 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
                                 std::uint32_t count) {
   const std::uint64_t txn = ++txn_counter_;
   const std::string tid = "trade#" + std::to_string(txn);
-  trace_marker(tid, core::kMarkTradeBegin, static_cast<int>(count));
+  trace_.marker(tid, core::kMarkTradeBegin, static_cast<int>(count));
 
-  core::RoundHooks hooks;
-  hooks.peer = tid;
-  hooks.trace = opt_.trace;
-  hooks.on_marker = [this, tid](const char* mk) { trace_marker(tid, mk); };
+  const core::RoundHooks hooks{tid, &trace_, opt_.trace};
   auto round = [&](ev::MessageId type, std::uint64_t phase, Shard* member,
                    const TradeWire& w) -> des::Task<ev::Message> {
     ev::Message m;
@@ -321,8 +311,7 @@ des::Task<void> Root::run_trade(Shard* donor, Shard* recipient,
     const char* terminal = fenced_round ? core::kMarkTradeFence
                           : commit      ? core::kMarkTradeCommit
                                         : core::kMarkTradeAbort;
-    trace_marker(tid, terminal,
-                 commit ? static_cast<int>(nodes.size()) : 0);
+    trace_.marker(tid, terminal, commit ? static_cast<int>(nodes.size()) : 0);
   }
   if (fenced_round) {
     ++stats_.trades_fenced;

@@ -93,7 +93,7 @@ class Root {
     return it == health_.end() ? nullptr : &it->second.load;
   }
   const std::vector<core::ControlTraceEvent>& control_trace() const {
-    return trace_;
+    return trace_.events();
   }
 
  private:
@@ -112,8 +112,6 @@ class Root {
   /// chain recorded at failover to the first unfenced shard.
   Shard* live_heir(const std::string& dead_id);
   Shard* find_shard(const std::string& id) const;
-  void trace_marker(const std::string& container, const char* marker,
-                    int delta = 0);
 
   ev::Bus* bus_;
   net::NodeId node_;
@@ -136,7 +134,7 @@ class Root {
   std::uint64_t txn_counter_ = 0;
   bool stopped_ = false;
   Stats stats_;
-  std::vector<core::ControlTraceEvent> trace_;
+  core::ControlTrace trace_;  ///< trade and failover markers only
   std::vector<des::Process> procs_;
 };
 

@@ -14,7 +14,8 @@ Shard::Shard(ev::Bus& bus, std::string id, net::NodeId node,
       id_(std::move(id)),
       node_(node),
       pool_(staging),
-      opt_(opt) {
+      opt_(opt),
+      trace_(bus.sim()) {
   id_name_ = util::intern(id_);
   ctl_ep_ = bus_->open(node_, "fed.shard." + id_ + ".ctl").id();
   trade_ep_ = bus_->open(node_, "fed.shard." + id_ + ".trade").id();
@@ -34,7 +35,7 @@ void Shard::start() {
 void Shard::add_pipeline(FedPipeline* p) {
   pipelines_.push_back(p);
   p->set_owner(ctl_ep_);
-  fsm_.emplace(p->name(), core::ProtocolFsm(core::CmState::kIdle));
+  trace_.track(p->name(), core::CmState::kIdle);
 }
 
 void Shard::adopt(FedPipeline* p) {
@@ -44,9 +45,8 @@ void Shard::adopt(FedPipeline* p) {
   // our pool before calling adopt; re-reconcile against the pipeline's own
   // node list so ledger and ground truth agree from the first policy tick.
   pool_.reconcile(p->name(), p->nodes());
-  fsm_.emplace(p->name(), core::ProtocolFsm(p->fenced()
-                                                ? core::CmState::kOffline
-                                                : core::CmState::kIdle));
+  trace_.track(p->name(), p->fenced() ? core::CmState::kOffline
+                                      : core::CmState::kIdle);
 }
 
 std::vector<FedPipeline*> Shard::release_pipelines() {
@@ -112,37 +112,6 @@ std::size_t Shard::unmet_demand() const {
     if (p->target() > p->width()) unmet += p->target() - p->width();
   }
   return unmet;
-}
-
-void Shard::trace_control(const std::string& container,
-                          const std::string& type, bool to_cm, int delta) {
-  core::ControlTraceEvent ev;
-  ev.at = bus_->sim().now();
-  ev.container = container;
-  ev.type = type;
-  ev.to_cm = to_cm;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));
-  auto it = fsm_.find(container);
-  if (it != fsm_.end()) {
-    const bool legal = it->second.advance(type);
-    IOC_CHECK(legal) << "protocol violation: " << type << " for pipeline "
-                     << container << " in state "
-                     << cm_state_name(it->second.state()) << " at shard "
-                     << id_;
-    (void)legal;
-  }
-}
-
-void Shard::trace_marker(const std::string& container, const char* marker,
-                         int delta) {
-  core::ControlTraceEvent ev;
-  ev.at = bus_->sim().now();
-  ev.container = container;
-  ev.type = marker;
-  ev.to_cm = true;
-  ev.delta = delta;
-  trace_.push_back(std::move(ev));  // markers never advance the FSM
 }
 
 des::Process Shard::policy_loop() {
@@ -235,14 +204,8 @@ des::Task<void> Shard::resize(FedPipeline* p, int delta) {
     m.payload = core::DecreasePayload{static_cast<std::uint32_t>(-delta)};
   }
   m.token = bus_->fresh_token();
-  trace_control(p->name(), std::string(m.type()), /*to_cm=*/true, 0);
-  core::RoundHooks hooks;
-  hooks.peer = p->name();
-  hooks.trace = opt_.trace;
-  const std::string pname = p->name();
-  hooks.on_marker = [this, pname](const char* marker) {
-    trace_marker(pname, marker);
-  };
+  trace_.control(p->name(), m.type(), /*to_cm=*/true, 0);
+  const core::RoundHooks hooks{p->name(), &trace_, opt_.trace};
   ev::Message reply = co_await core::run_control_round(
       *bus_, ctl_ep_, p->endpoint(), std::move(m), opt_.round, hooks);
   if (fenced_) co_return;  // the root fenced us mid-round: hands off
@@ -260,7 +223,7 @@ des::Task<void> Shard::resize(FedPipeline* p, int delta) {
   int applied = 0;
   const auto* done = reply.as<core::DonePayload>();
   if (done != nullptr) applied = done->report.delta;
-  trace_control(p->name(), std::string(reply.type()), /*to_cm=*/false, applied);
+  trace_.control(p->name(), reply.type(), /*to_cm=*/false, applied);
   if (done != nullptr) {
     if (!done->report.ok) {
       if (!granted.empty()) pool_.reclaim(p->name(), granted);
@@ -281,10 +244,7 @@ void Shard::escalate_fence_pipeline(FedPipeline* p) {
   // Pool-view delta, as in the GM's fence path: an in-flight grant may not
   // have reached the trace ledger, so the lint replay settles a fenced
   // pipeline's width to zero regardless.
-  trace_marker(name, core::kMarkEscalate, -static_cast<int>(freed.size()));
-  if (auto it = fsm_.find(name); it != fsm_.end()) {
-    it->second.reset(core::CmState::kOffline);
-  }
+  trace_.escalate(name, -static_cast<int>(freed.size()));
   ++stats_.escalations;
   if (trace::active(opt_.trace)) {
     opt_.trace->span("escalate", "fed", name, 0, bus_->sim().now(),

@@ -23,7 +23,6 @@
 
 #include "core/manager_if.h"
 #include "core/protocol.h"
-#include "core/protocol_fsm.h"
 #include "core/resources.h"
 #include "core/rounds.h"
 #include "des/process.h"
@@ -72,7 +71,7 @@ class Shard : public core::ManagerIf {
   core::ResourcePool& pool() override { return pool_; }
   bool failed() const override { return fenced_ || crashed_; }
   const std::vector<core::ControlTraceEvent>& control_trace() const override {
-    return trace_;
+    return trace_.events();
   }
 
   net::NodeId node() const { return node_; }
@@ -127,10 +126,6 @@ class Shard : public core::ManagerIf {
   des::Process participant_loop();
   des::Task<void> resize(FedPipeline* p, int delta);
   void escalate_fence_pipeline(FedPipeline* p);
-  void trace_control(const std::string& container, const std::string& type,
-                     bool to_cm, int delta);
-  void trace_marker(const std::string& container, const char* marker,
-                    int delta = 0);
 
   ev::Bus* bus_;
   std::string id_;
@@ -142,8 +137,7 @@ class Shard : public core::ManagerIf {
   ev::EndpointId trade_ep_ = ev::kInvalidEndpoint;
   ev::EndpointId root_ep_ = ev::kInvalidEndpoint;
   std::vector<FedPipeline*> pipelines_;
-  std::map<std::string, core::ProtocolFsm> fsm_;
-  std::vector<core::ControlTraceEvent> trace_;
+  core::ControlTrace trace_;
   bool fenced_ = false;
   bool crashed_ = false;
   txn::D2tMemberGuard guard_;

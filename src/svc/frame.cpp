@@ -323,8 +323,15 @@ int try_decode(std::string_view buf, WireFrame* out, std::string* error) {
     if (error != nullptr) *error = "short frame header";
     return -1;
   }
-  out->msg.set_type(
+  // Lookup only: every legitimate sender interned its type before encoding,
+  // and interning wire bytes would let a peer grow the table without bound.
+  const auto type = ev::find_type(
       std::string_view(reinterpret_cast<const char*>(r.p), type_len));
+  if (!type.has_value()) {
+    if (error != nullptr) *error = "unknown message type";
+    return -1;
+  }
+  out->msg.type_id = *type;
   r.p += type_len;
   r.left -= type_len;
   out->msg.payload.reset();

@@ -4,6 +4,7 @@
 #include "core/global.h"
 #include "core/protocol.h"
 #include "core/resources.h"
+#include "core/rounds.h"
 #include "core/runtime.h"
 #include "core/spec.h"
 #include "core/trade.h"
@@ -313,6 +314,107 @@ TEST(Protocols, ActivateBringsDormantContainerOnline) {
   ASSERT_TRUE(act.ok);
   EXPECT_TRUE(f.p.container("cna")->online());
   EXPECT_EQ(f.p.container("cna")->width(), 2u);
+}
+
+// --- at-most-once control rounds ------------------------------------------
+
+ev::Message round_request(ev::MessageId type, std::uint64_t token) {
+  ev::Message m;
+  m.type_id = type;
+  m.token = token;
+  return m;
+}
+
+ev::Message done_reply(std::uint64_t token) {
+  ev::Message m;
+  m.type_id = kMidDone;
+  m.token = token;
+  return m;
+}
+
+TEST(ReplyCache, KeepsTheNewestRepliesAndEvictsTheOldestFirst) {
+  ReplyCache cache;
+  const std::uint64_t last = 2 * ReplyCache::kCapacity + 3;
+  for (std::uint64_t t = 1; t <= last; ++t) {
+    cache.record(round_request(kMidIncrease, t), done_reply(t));
+    EXPECT_LE(cache.size(), ReplyCache::kCapacity);
+  }
+  EXPECT_EQ(cache.size(), ReplyCache::kCapacity);
+  for (std::uint64_t t = 1; t <= last; ++t) {
+    const ev::Message* hit = cache.find(round_request(kMidIncrease, t));
+    if (t <= last - ReplyCache::kCapacity) {
+      EXPECT_EQ(hit, nullptr) << "token " << t << " should be evicted";
+    } else {
+      ASSERT_NE(hit, nullptr) << "token " << t << " should be kept";
+      EXPECT_EQ(hit->token, t);
+    }
+  }
+  // A resend of the newest round replays its reply.
+  const ev::Message* newest = cache.find(round_request(kMidIncrease, last));
+  ASSERT_NE(newest, nullptr);
+  EXPECT_EQ(newest->type_id, kMidDone);
+  EXPECT_EQ(newest->token, last);
+}
+
+TEST(ReplyCache, KeepsOnlyMutatingRoundsThatCarryAToken) {
+  ReplyCache cache;
+  cache.record(round_request(kMidQueryNeeds, 7), done_reply(7));
+  cache.record(round_request(kMidSwitchToDisk, 8), done_reply(8));
+  cache.record(round_request(kMidIncrease, 0), done_reply(0));
+  EXPECT_EQ(cache.size(), 0u);
+  for (ev::MessageId type :
+       {kMidIncrease, kMidDecrease, kMidOffline, kMidActivate}) {
+    cache.record(round_request(type, 100 + type), done_reply(100 + type));
+    EXPECT_NE(cache.find(round_request(type, 100 + type)), nullptr);
+  }
+  EXPECT_EQ(cache.size(), 4u);
+}
+
+des::Process ask(ev::BusIf& bus, ev::EndpointId from, ev::EndpointId to,
+                 ev::Message m, ev::Message* out) {
+  auto t = bus.request(from, to, std::move(m));
+  *out = co_await t;
+}
+
+TEST(Protocols, DuplicateIncreaseIsAppliedOnceAndRepliedTwiceAlike) {
+  ProtoFixture f;
+  f.p.run();
+  ProtocolReport dec;
+  spawn(f.p.sim(), drive(f.p.gm().decrease("helper", 2), &dec));
+  f.p.sim().run();
+  ASSERT_TRUE(dec.ok);
+  Container* csym = f.p.container("csym");
+  const std::size_t width = csym->width();
+
+  // The same round delivered twice, as a resend after a lost DONE would be.
+  ev::Message m;
+  m.type_id = kMidIncrease;
+  m.token = f.p.bus().fresh_token();
+  m.payload = IncreasePayload{f.p.pool().grant("csym", 1)};
+  const ev::EndpointId gm = f.p.bus().open(1, "test.gm").id();
+  ev::Message first;
+  ev::Message second;
+  spawn(f.p.sim(), ask(f.p.bus(), gm, csym->manager_endpoint(), m, &first));
+  f.p.sim().run();
+  spawn(f.p.sim(), ask(f.p.bus(), gm, csym->manager_endpoint(), m, &second));
+  f.p.sim().run();
+
+  EXPECT_EQ(csym->width(), width + 1);
+  EXPECT_EQ(first.type_id, kMidDone);
+  EXPECT_EQ(second.type_id, first.type_id);
+  EXPECT_EQ(second.token, first.token);
+  const auto* a = first.as<DonePayload>();
+  const auto* b = second.as<DonePayload>();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_TRUE(a->report.ok);
+  EXPECT_EQ(a->report.delta, 1);
+  EXPECT_EQ(b->report.delta, a->report.delta);
+  EXPECT_EQ(b->report.total, a->report.total);
+  EXPECT_EQ(b->report.aprun, a->report.aprun);
+  EXPECT_EQ(b->freed_nodes, a->freed_nodes);
+  EXPECT_TRUE(f.p.pool().conserved());
+  f.p.bus().close(gm);
 }
 
 // --- transactional trades -------------------------------------------------

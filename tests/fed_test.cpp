@@ -15,11 +15,13 @@
 #include <vector>
 
 #include "core/protocol.h"
+#include "core/rounds.h"
 #include "core/spec.h"
 #include "des/time.h"
 #include "fault/injector.h"
 #include "fed/fleet.h"
 #include "fed/hash.h"
+#include "fed/pipeline.h"
 #include "lint/trace.h"
 #include "trace/metrics.h"
 #include "verify/fed_model.h"
@@ -123,6 +125,89 @@ TEST(HashRing, SuccessorIsADistinctLiveShard) {
   HashRing lone(16);
   lone.add("only");
   EXPECT_TRUE(lone.successor("only").empty());
+}
+
+// --- FedPipeline: the CM side of a resize round -----------------------------
+
+/// One pipeline driven directly by a stand-in shard endpoint.
+struct PipelineFixture {
+  ioc::des::Simulator sim;
+  ioc::net::Cluster cluster{sim, 2};
+  ioc::net::Network net{cluster};
+  ioc::ev::Bus bus{net};
+  ioc::ev::EndpointId shard = bus.open(0, "test.shard").id();
+  ioc::fed::FedPipeline pipe{bus, 1, "pipe", {}};
+
+  PipelineFixture() { pipe.set_owner(shard); }
+  ~PipelineFixture() {
+    pipe.fence();
+    bus.close(shard);
+    while (sim.step()) {
+    }
+  }
+
+  /// Deliver one round request and run until its reply lands.
+  ioc::ev::Message round(const ioc::ev::Message& m) {
+    ioc::ev::Message reply;
+    spawn(sim, ask(bus, shard, pipe.endpoint(), m, &reply));
+    sim.run();
+    return reply;
+  }
+
+  static ioc::des::Process ask(ioc::ev::Bus& bus, ioc::ev::EndpointId from,
+                               ioc::ev::EndpointId to, ioc::ev::Message m,
+                               ioc::ev::Message* out) {
+    auto t = bus.request(from, to, std::move(m));
+    *out = co_await t;
+  }
+};
+
+ioc::ev::Message resize_request(bool grow, std::uint64_t token,
+                                ioc::net::NodeId node) {
+  ioc::ev::Message m;
+  m.token = token;
+  if (grow) {
+    m.type_id = ioc::core::kMidIncrease;
+    m.payload = ioc::core::IncreasePayload{{node}};
+  } else {
+    m.type_id = ioc::core::kMidDecrease;
+    m.payload = ioc::core::DecreasePayload{1};
+  }
+  return m;
+}
+
+TEST(FedPipeline, ReplyCacheStopsGrowingAtItsCapacity) {
+  PipelineFixture f;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const ioc::ev::Message reply = f.round(
+        resize_request(i % 2 == 0, f.bus.fresh_token(), 100));
+    ASSERT_EQ(reply.type_id, ioc::core::kMidDone) << "round " << i;
+    EXPECT_EQ(f.pipe.width(), i % 2 == 0 ? 1u : 0u);
+    EXPECT_EQ(f.pipe.cached_replies(),
+              std::min<std::size_t>(i + 1, ioc::core::ReplyCache::kCapacity))
+        << "round " << i;
+  }
+  EXPECT_EQ(f.pipe.resizes_applied(), 200u);
+}
+
+TEST(FedPipeline, DuplicateIncreaseIsAppliedOnceAndRepliedTwiceAlike) {
+  PipelineFixture f;
+  const ioc::ev::Message m = resize_request(true, f.bus.fresh_token(), 100);
+  const ioc::ev::Message first = f.round(m);
+  const ioc::ev::Message second = f.round(m);
+  EXPECT_EQ(f.pipe.width(), 1u);
+  EXPECT_EQ(f.pipe.resizes_applied(), 1u);
+  EXPECT_EQ(first.type_id, ioc::core::kMidDone);
+  EXPECT_EQ(second.type_id, first.type_id);
+  EXPECT_EQ(second.token, first.token);
+  const auto* a = first.as<ioc::core::DonePayload>();
+  const auto* b = second.as<ioc::core::DonePayload>();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->report.delta, 1);
+  EXPECT_EQ(b->report.delta, a->report.delta);
+  EXPECT_EQ(b->report.total, a->report.total);
+  EXPECT_EQ(b->freed_nodes, a->freed_nodes);
 }
 
 // --- quiet fleet -----------------------------------------------------------

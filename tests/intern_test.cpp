@@ -10,7 +10,11 @@
 //    production replay);
 //  * a recorded federation control trace whose type strings are
 //    re-materialized from their interned ids lints (IOC105/IOC106)
-//    byte-identically to the original.
+//    byte-identically to the original;
+//  * lookups (find_type) never grow the table, and a full table throws
+//    rather than wrap new ids onto canonical ones.
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -109,6 +113,36 @@ TEST(Intern, DynamicInternAppendsAndStaysStable) {
   EXPECT_EQ(type_count(), static_cast<std::size_t>(id) + 1);
   // Unknown ids answer "" instead of tripping anything.
   EXPECT_EQ(type_name(static_cast<MessageId>(65535)), std::string_view(""));
+}
+
+TEST(Intern, FindTypeNeverGrowsTheTable) {
+  const std::size_t before = type_count();
+  EXPECT_EQ(ioc::ev::find_type(ioc::core::kMsgIncrease),
+            ioc::core::kMidIncrease);
+  EXPECT_EQ(ioc::ev::find_type(""), ioc::ev::kNoMessageId);
+  EXPECT_FALSE(ioc::ev::find_type("INTERN_TEST/never-interned").has_value());
+  EXPECT_EQ(type_count(), before);
+}
+
+TEST(Intern, OverflowThrowsInsteadOfWrappingOntoCanonicalIds) {
+  // Filling the table is permanent for the process, so it happens in a
+  // forked child. The loop is bounded: a table that wraps instead of
+  // throwing falls out of it and fails the exit-code check.
+  EXPECT_EXIT(
+      {
+        try {
+          for (int i = 0; i < 70000; ++i) {
+            (void)intern_type("INTERN_TEST/overflow-" + std::to_string(i));
+          }
+        } catch (const std::length_error&) {
+          const bool intact =
+              type_count() == 65535 &&
+              intern_type(ioc::core::kMsgIncrease) == ioc::core::kMidIncrease;
+          std::_Exit(intact ? 0 : 1);
+        }
+        std::_Exit(2);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 /// Round-trip every type string of `trace` through the intern table and

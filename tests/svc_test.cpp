@@ -219,6 +219,25 @@ TEST(Frame, RejectsTrailingGarbageInsideBody) {
   EXPECT_EQ(try_decode(bytes, &out, &err), -1);
 }
 
+TEST(Frame, RejectsANeverInternedTypeWithoutGrowingTheInternTable) {
+  // Senders intern before they encode, so a type string the process has
+  // never seen can only come from a confused or hostile peer. Decoding it
+  // must not intern it: enough novel strings would wrap the 16-bit ids onto
+  // canonical ones such as INCREASE_REQ.
+  const std::string known = "FRAME_TEST/known";
+  std::string bytes;
+  encode_frame(make_frame(known.c_str()), &bytes);
+  const std::size_t at = bytes.find(known);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, known.size(), "FRAME_TEST/novel");  // same length
+  const std::size_t before = ev::type_count();
+  WireFrame out;
+  std::string err;
+  EXPECT_EQ(try_decode(bytes, &out, &err), -1);
+  EXPECT_NE(err.find("unknown message type"), std::string::npos) << err;
+  EXPECT_EQ(ev::type_count(), before);
+}
+
 // --- SocketBus ------------------------------------------------------------
 
 struct SocketBusFixture {
