@@ -8,17 +8,18 @@
 // identical deterministic event stream.
 //
 // Besides the console table, the binary writes BENCH_des.json (override with
-// IOC_BENCH_DES_JSON): ns/op per implementation x pending count, schema
-// ioc.bench.des/v1, validated by tools/bench_check. The committed repo-root
-// BENCH_des.json is the baseline docs/PERFORMANCE.md quotes.
+// IOC_BENCH_DES_JSON): one ledger row (tools/bench_ledger.h) of ns/op per
+// implementation x workload x pending count, gated by tools/bench_check.
+// The committed repo-root BENCH_des.json is the baseline
+// docs/PERFORMANCE.md quotes.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "bench_ledger.h"
 #include "des/ladder_queue.h"
 #include "des/time.h"
 #include "util/rng.h"
@@ -111,15 +112,7 @@ BENCHMARK(BM_EqualBurst<Ladder>)->Arg(1000)->Arg(100000);
 // ---------------------------------------------------------------------------
 // BENCH_des.json emission
 
-struct BenchRow {
-  std::string benchmark;  ///< full name, e.g. "BM_Hold<Ladder>/100000"
-  std::string impl;       ///< "binary_heap" | "ladder"
-  std::string workload;   ///< "hold" | "equal_burst"
-  std::int64_t pending = 0;
-  double ns_per_op = 0;
-  std::int64_t iterations = 0;
-};
-
+/// Console output as usual, plus one ledger row per run.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -127,62 +120,33 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       if (r.error_occurred) continue;
       const auto pending = r.counters.find("pending");
       if (pending == r.counters.end() || pending->second.value <= 0) continue;
-      const std::string& fn = r.run_name.function_name;
-      BenchRow row;
-      row.benchmark = r.benchmark_name();
-      row.impl = fn.find("Heap") != std::string::npos ? "binary_heap"
-                                                      : "ladder";
-      row.workload =
-          fn.find("EqualBurst") != std::string::npos ? "equal_burst" : "hold";
-      row.pending = static_cast<std::int64_t>(pending->second.value);
       // Per queue operation: the burst workload counts every pop via
       // items_processed; the hold workload is one hold (pop+push) per
       // iteration.
+      const bool burst =
+          r.run_name.function_name.find("EqualBurst") != std::string::npos;
       const double ops =
-          row.workload == "equal_burst"
-              ? static_cast<double>(r.iterations) * pending->second.value
-              : static_cast<double>(r.iterations);
-      row.ns_per_op = r.GetAdjustedRealTime() *
-                      static_cast<double>(r.iterations) / ops;
-      row.iterations = static_cast<std::int64_t>(r.iterations);
+          burst ? static_cast<double>(r.iterations) * pending->second.value
+                : static_cast<double>(r.iterations);
+      bench::LedgerRow row;
+      row.layer = "des";
+      row.name = r.benchmark_name();
+      row.metric = "ns_per_op";
+      row.value = r.GetAdjustedRealTime() *
+                  static_cast<double>(r.iterations) / ops;
+      row.unit = "ns";
+      row.extra = {{"pending", pending->second.value},
+                   {"iterations", static_cast<double>(r.iterations)}};
       rows_.push_back(std::move(row));
     }
     ConsoleReporter::ReportRuns(reports);
   }
 
-  const std::vector<BenchRow>& rows() const { return rows_; }
+  const std::vector<bench::LedgerRow>& rows() const { return rows_; }
 
  private:
-  std::vector<BenchRow> rows_;
+  std::vector<bench::LedgerRow> rows_;
 };
-
-bool write_json(const std::string& path, const std::vector<BenchRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "des_queue_bench: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"ioc.bench.des/v1\",\n"
-               "  \"unit\": \"ns_per_op\",\n"
-               "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"benchmark\": \"%s\", \"impl\": \"%s\", "
-                 "\"workload\": \"%s\", \"pending\": %lld, "
-                 "\"ns_per_op\": %.4f, \"iterations\": %lld}%s\n",
-                 r.benchmark.c_str(), r.impl.c_str(), r.workload.c_str(),
-                 static_cast<long long>(r.pending), r.ns_per_op,
-                 static_cast<long long>(r.iterations),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu results)\n", path.c_str(), rows.size());
-  return true;
-}
 
 }  // namespace
 
@@ -192,8 +156,9 @@ int main(int argc, char** argv) {
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   const char* out = std::getenv("IOC_BENCH_DES_JSON");
-  const bool ok =
-      write_json(out != nullptr ? out : "BENCH_des.json", reporter.rows());
+  const bool ok = ioc::bench::write_ledger(
+      out != nullptr ? out : "BENCH_des.json", reporter.rows(),
+      "des_queue_bench");
   benchmark::Shutdown();
   return ok ? 0 : 1;
 }

@@ -2,7 +2,8 @@
 // 4, and 8 GM shards (pipelines scale with the shard count so per-shard load
 // stays constant), plus a 16x2048 fleet tier that pushes the soak past 10^6
 // simulator events, and emits a machine-readable BENCH_fleet.json (default,
-// override with IOC_BENCH_FLEET_JSON) next to BENCH_kernels.json.
+// override with IOC_BENCH_FLEET_JSON; the ledger format of
+// tools/bench_ledger.h) next to BENCH_kernels.json.
 //
 // Three kinds of numbers per row, deliberately separated:
 //   - resize_p99_ms / resizes / trades / events come from simulated time and
@@ -37,9 +38,9 @@
 #include <ctime>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_ledger.h"
 #include "des/time.h"
 #include "fed/fleet.h"
 
@@ -242,38 +243,23 @@ FleetRow run_point(const Tier& tier) {
   return row;
 }
 
-bool write_json(const std::string& path, const std::vector<FleetRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "fleet_scale: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"ioc.bench.fleet/v2\",\n"
-               "  \"unit\": \"resize_p99_ms\",\n"
-               "  \"threads_available\": %u,\n"
-               "  \"results\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"benchmark\": \"%s\", \"shards\": %zu, "
-                 "\"pipelines\": %zu, \"resize_p99_ms\": %.4f, "
-                 "\"resizes\": %llu, \"trades_committed\": %llu, "
-                 "\"events\": %llu, \"events_per_wall_sec\": %.0f, "
-                 "\"allocs_per_event\": %.4f}%s\n",
-                 r.benchmark.c_str(), r.shards, r.pipelines, r.resize_p99_ms,
-                 static_cast<unsigned long long>(r.resizes),
-                 static_cast<unsigned long long>(r.trades_committed),
-                 static_cast<unsigned long long>(r.events),
-                 r.events_per_wall_sec, r.allocs_per_event,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu results)\n", path.c_str(), rows.size());
-  return true;
+/// A tier's two gated numbers as ledger rows: the simulated resize p99 (the
+/// other deterministic columns ride along) and the wall-clock event
+/// throughput (with the allocation rate measured over the same window).
+void append_ledger_rows(const FleetRow& r,
+                        std::vector<ioc::bench::LedgerRow>* out) {
+  out->push_back({"fed", r.benchmark, "resize_p99_ms", r.resize_p99_ms, "ms",
+                  /*higher_is_better=*/false, /*sim_clock=*/true,
+                  {{"shards", static_cast<double>(r.shards)},
+                   {"pipelines", static_cast<double>(r.pipelines)},
+                   {"resizes", static_cast<double>(r.resizes)},
+                   {"trades_committed",
+                    static_cast<double>(r.trades_committed)},
+                   {"events", static_cast<double>(r.events)}}});
+  out->push_back({"fed", r.benchmark, "events_per_wall_sec",
+                  r.events_per_wall_sec, "1/s", /*higher_is_better=*/true,
+                  /*sim_clock=*/false,
+                  {{"allocs_per_event", r.allocs_per_event}}});
 }
 
 }  // namespace
@@ -298,14 +284,15 @@ int main() {
   // where the mixed-tier aggregate hides which tier owns a hot path.
   const char* only = std::getenv("IOC_BENCH_FLEET_ONLY");
 
-  std::vector<FleetRow> rows;
-  rows.reserve(tiers.size());
+  std::vector<ioc::bench::LedgerRow> rows;
   for (const Tier& tier : tiers) {
     const std::string tag = std::to_string(tier.shards) + "x" +
                             std::to_string(tier.pipelines);
     if (only != nullptr && tag != only) continue;
-    rows.push_back(run_point(tier));
+    append_ledger_rows(run_point(tier), &rows);
   }
   const char* out = std::getenv("IOC_BENCH_FLEET_JSON");
-  return write_json(out != nullptr ? out : "BENCH_fleet.json", rows) ? 0 : 1;
+  const bool ok = ioc::bench::write_ledger(
+      out != nullptr ? out : "BENCH_fleet.json", rows, "fleet_scale");
+  return ok ? 0 : 1;
 }

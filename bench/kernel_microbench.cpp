@@ -5,17 +5,16 @@
 // parallel serial path so the baseline column is the historical cost.
 //
 // Besides the console table, the binary writes a machine-readable baseline
-// (default BENCH_kernels.json, override with IOC_BENCH_JSON): ns/atom per
-// kernel x size x thread count, the artifact docs/PERFORMANCE.md reads and
-// tools/bench_check validates in CI.
+// (default BENCH_kernels.json, override with IOC_BENCH_JSON): one ledger row
+// (tools/bench_ledger.h) of ns/atom per kernel x size x thread count, the
+// artifact docs/PERFORMANCE.md reads and tools/bench_check gates in CI.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_ledger.h"
 #include "md/force_lj.h"
 #include "md/lattice.h"
 #include "sp/bonds.h"
@@ -119,26 +118,7 @@ BENCHMARK(BM_HelperAggregate)->Arg(4)->Arg(16)->Arg(64);
 // ---------------------------------------------------------------------------
 // BENCH_kernels.json emission
 
-struct BenchRow {
-  std::string benchmark;  ///< full name, e.g. "BM_LjForce/8/4"
-  std::string kernel;     ///< stable kernel id, e.g. "lj_force"
-  std::int64_t size = 0;  ///< first benchmark argument (lattice cells)
-  std::int64_t atoms = 0;
-  std::int64_t threads = 0;
-  double ns_per_atom = 0;
-  std::int64_t iterations = 0;
-};
-
-std::string kernel_id(const std::string& function_name) {
-  if (function_name == "BM_LjForce") return "lj_force";
-  if (function_name == "BM_Bonds") return "bonds";
-  if (function_name == "BM_BondsNaive") return "bonds_naive";
-  if (function_name == "BM_Csym") return "csym";
-  if (function_name == "BM_Cna") return "cna";
-  return "";
-}
-
-/// Console output as usual, plus one BenchRow per run that carries the
+/// Console output as usual, plus one ledger row per run that carries the
 /// atoms/threads counters (the kernel benchmarks; helper-tree runs are
 /// console-only — their cost is per chunk, not per atom).
 class CaptureReporter : public benchmark::ConsoleReporter {
@@ -148,62 +128,31 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       if (r.error_occurred) continue;
       const auto atoms = r.counters.find("atoms");
       const auto threads = r.counters.find("threads");
-      const std::string kernel = kernel_id(r.run_name.function_name);
       if (atoms == r.counters.end() || threads == r.counters.end() ||
-          kernel.empty() || atoms->second.value <= 0) {
+          atoms->second.value <= 0) {
         continue;
       }
-      BenchRow row;
-      row.benchmark = r.benchmark_name();
-      row.kernel = kernel;
-      row.size = std::strtoll(r.run_name.args.c_str(), nullptr, 10);
-      row.atoms = static_cast<std::int64_t>(atoms->second.value);
-      row.threads = static_cast<std::int64_t>(threads->second.value);
+      bench::LedgerRow row;
+      // The force loop is the simulation's (md); the rest are analytics (sp).
+      row.layer = r.run_name.function_name == "BM_LjForce" ? "md" : "sp";
+      row.name = r.benchmark_name();
+      row.metric = "ns_per_atom";
       // GetAdjustedRealTime is in the benchmark's time unit (default ns).
-      row.ns_per_atom = r.GetAdjustedRealTime() / atoms->second.value;
-      row.iterations = static_cast<std::int64_t>(r.iterations);
+      row.value = r.GetAdjustedRealTime() / atoms->second.value;
+      row.unit = "ns";
+      row.extra = {{"atoms", atoms->second.value},
+                   {"threads", threads->second.value},
+                   {"iterations", static_cast<double>(r.iterations)}};
       rows_.push_back(std::move(row));
     }
     ConsoleReporter::ReportRuns(reports);
   }
 
-  const std::vector<BenchRow>& rows() const { return rows_; }
+  const std::vector<bench::LedgerRow>& rows() const { return rows_; }
 
  private:
-  std::vector<BenchRow> rows_;
+  std::vector<bench::LedgerRow> rows_;
 };
-
-bool write_json(const std::string& path, const std::vector<BenchRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "kernel_microbench: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"ioc.bench.kernels/v1\",\n"
-               "  \"unit\": \"ns_per_atom\",\n"
-               "  \"threads_available\": %u,\n"
-               "  \"results\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"benchmark\": \"%s\", \"kernel\": \"%s\", "
-                 "\"size\": %lld, \"atoms\": %lld, \"threads\": %lld, "
-                 "\"ns_per_atom\": %.4f, \"iterations\": %lld}%s\n",
-                 r.benchmark.c_str(), r.kernel.c_str(),
-                 static_cast<long long>(r.size),
-                 static_cast<long long>(r.atoms),
-                 static_cast<long long>(r.threads), r.ns_per_atom,
-                 static_cast<long long>(r.iterations),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu results)\n", path.c_str(), rows.size());
-  return true;
-}
 
 }  // namespace
 
@@ -213,8 +162,9 @@ int main(int argc, char** argv) {
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   const char* out = std::getenv("IOC_BENCH_JSON");
-  const bool ok = write_json(out != nullptr ? out : "BENCH_kernels.json",
-                             reporter.rows());
+  const bool ok = ioc::bench::write_ledger(
+      out != nullptr ? out : "BENCH_kernels.json", reporter.rows(),
+      "kernel_microbench");
   benchmark::Shutdown();
   return ok ? 0 : 1;
 }

@@ -58,11 +58,6 @@ void GlobalManager::shutdown() {
   ctl_ep_ = ev::kInvalidEndpoint;
 }
 
-const std::string& GlobalManager::manager_id() const {
-  static const std::string kId = "gm";
-  return kId;
-}
-
 Container* GlobalManager::find(const std::string& name) const {
   for (Container* c : containers_) {
     if (c->name() == name) return c;
@@ -158,14 +153,10 @@ des::Task<ev::Message> GlobalManager::request_cm(Container* c,
   // the request a second time.
   m.token = env_.bus->fresh_token();
   const std::uint64_t token = m.token;
-  RoundOptions ropt;
-  ropt.timeout = opt_.cm_timeout;
-  ropt.retries = opt_.cm_retries;
-  ropt.backoff = opt_.cm_backoff;
-  ropt.backoff_cap = opt_.cm_backoff_cap;
   const RoundHooks hooks{c->name(), &trace_, env_.trace};
-  ev::Message reply = co_await run_control_round(
-      *env_.bus, ctl_ep_, c->manager_endpoint(), std::move(m), ropt, hooks);
+  ev::Message reply =
+      co_await run_control_round(*env_.bus, ctl_ep_, c->manager_endpoint(),
+                                 std::move(m), opt_.round, hooks);
   if (reply.type_id == ev::kMidErrClosed) {
     // The GM itself died under this round (simulated crash). Stop quietly;
     // fencing a healthy container for our own failure would throw away its

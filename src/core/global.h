@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/container.h"
-#include "core/manager_if.h"
 #include "core/protocol.h"
 #include "core/resources.h"
 #include "core/rounds.h"
@@ -23,7 +22,7 @@
 
 namespace ioc::core {
 
-class GlobalManager : public ManagerIf {
+class GlobalManager {
  public:
   struct Options {
     des::SimTime policy_interval = 30 * des::kSecond;
@@ -33,15 +32,12 @@ class GlobalManager : public ManagerIf {
     /// happens over successive policy rounds (visible in Fig. 8).
     std::uint32_t max_grant_per_action = 4;
     std::size_t monitoring_window = 4;
-    /// Deadline for one GM -> CM control round. 0 (the default) waits
-    /// forever — the pre-robustness behaviour, kept for runs on a fabric
-    /// known lossless. With a deadline set, an unanswered round is retried
-    /// `cm_retries` times with capped exponential backoff and then
-    /// escalates: the container is fenced (see docs/ROBUSTNESS.md).
-    des::SimTime cm_timeout = 0;
-    int cm_retries = 3;
-    des::SimTime cm_backoff = 500 * des::kMillisecond;
-    des::SimTime cm_backoff_cap = 4 * des::kSecond;
+    /// Retry ladder for one GM -> CM control round. The default timeout of
+    /// 0 waits forever — the pre-robustness behaviour, kept for runs on a
+    /// fabric known lossless. With a deadline set, an unanswered round is
+    /// retried `round.retries` times with capped exponential backoff and
+    /// then escalates: the container is fenced (see docs/ROBUSTNESS.md).
+    RoundOptions round;
   };
 
   GlobalManager(Container::Env env, const PipelineSpec& spec,
@@ -51,7 +47,7 @@ class GlobalManager : public ManagerIf {
                 ResourcePool& pool, std::vector<Container*> containers)
       : GlobalManager(std::move(env), spec, pool, std::move(containers),
                       Options{}) {}
-  ~GlobalManager() override;
+  ~GlobalManager();
   GlobalManager(const GlobalManager&) = delete;
   GlobalManager& operator=(const GlobalManager&) = delete;
 
@@ -65,7 +61,7 @@ class GlobalManager : public ManagerIf {
   /// resilient; StagedPipeline::failover_gm() promotes a fresh manager that
   /// rebuilds its (soft) monitoring state from the live sample stream.
   void fail();
-  bool failed() const override { return failed_; }
+  bool failed() const { return failed_; }
   /// Quiet teardown: stop the policy loop and close the control/monitoring
   /// endpoints so the blocked loops can finish once remaining events drain.
   void shutdown();
@@ -73,14 +69,11 @@ class GlobalManager : public ManagerIf {
   ev::EndpointId monitor_endpoint() const { return mon_ep_; }
   mon::MonitoringHub& hub() { return hub_; }
   const mon::MonitoringHub& hub() const { return hub_; }
-  /// ManagerIf identity: the classic single manager is always "gm" (a
-  /// one-shard fleet promotes it without renaming anything).
-  const std::string& manager_id() const override;
-  ResourcePool& pool() override { return pool_; }
+  ResourcePool& pool() { return pool_; }
   const std::vector<ManagementEvent>& events() const { return events_; }
   /// Every control message this manager exchanged with a CM, in order; feed
   /// it to lint::check_trace to audit a run offline.
-  const std::vector<ControlTraceEvent>& control_trace() const override {
+  const std::vector<ControlTraceEvent>& control_trace() const {
     return trace_.events();
   }
   Container* find(const std::string& name) const;

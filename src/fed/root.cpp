@@ -77,7 +77,6 @@ des::Process Root::service_loop() {
         ShardHealth& h = health_[hb->shard];
         h.last_hb = bus_->sim().now();
         h.spares = hb->spares;
-        h.load = *hb;
       }
     } else if (msg->type_id == kMidTradeReq) {
       if (const auto* req = msg->as<TradeRequestWire>()) {

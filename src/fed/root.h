@@ -86,12 +86,6 @@ class Root {
   void failover(Shard* s);
 
   const Stats& stats() const { return stats_; }
-  /// Last batched heartbeat received from shard `id` (by interned id), or
-  /// nullptr before the first beat — the root-side view of per-shard load.
-  const HeartbeatWire* last_load(util::NameId id) const {
-    auto it = health_.find(id);
-    return it == health_.end() ? nullptr : &it->second.load;
-  }
   const std::vector<core::ControlTraceEvent>& control_trace() const {
     return trace_.events();
   }
@@ -121,12 +115,11 @@ class Root {
   std::vector<Shard*> shards_;
   HashRing ring_;
   /// Everything the root tracks per shard heartbeat, in one record so the
-  /// receive path pays one map lookup per beat, not three. Keyed by
+  /// receive path pays one map lookup per beat, not two. Keyed by
   /// interned shard id: indexing must not build a temporary std::string.
   struct ShardHealth {
     des::SimTime last_hb = 0;
     std::uint32_t spares = 0;   // last reported
-    HeartbeatWire load{};       // last batched report
   };
   std::map<util::NameId, ShardHealth> health_;
   std::map<std::string, std::uint32_t> pending_req_;  // recipient -> count

@@ -163,28 +163,9 @@ des::Process Shard::heartbeat_loop() {
     ev::Message m;
     m.type_id = core::kMidHeartbeat;
     m.size_bytes = 64;
-    // One batched heartbeat per shard per beat: the per-pipeline aggregates
-    // ride along as payload fields, so fleet-scale liveness stays one
-    // message per shard per round regardless of pipeline count.
     HeartbeatWire hb;
     hb.shard = id_name_;
     hb.spares = static_cast<std::uint32_t>(pool_.spare_count());
-    // One pass over the pipelines gathers all three aggregates — this loop
-    // runs every beat on every shard, so it must not be walked twice.
-    std::uint32_t live = 0;
-    std::uint32_t attached = 0;
-    std::uint32_t unmet = 0;
-    for (const FedPipeline* p : pipelines_) {
-      if (p->fenced()) continue;
-      ++live;
-      attached += static_cast<std::uint32_t>(p->width());
-      if (p->target() > p->width()) {
-        unmet += static_cast<std::uint32_t>(p->target() - p->width());
-      }
-    }
-    hb.pipelines_live = live;
-    hb.nodes_attached = attached;
-    hb.unmet_demand = unmet;
     m.payload = hb;
     co_await bus_->post(ctl_ep_, root_ep_, std::move(m),
                         ev::TrafficClass::kMonitoring);

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/manager_if.h"
 #include "core/protocol.h"
 #include "core/resources.h"
 #include "core/rounds.h"
@@ -35,7 +34,7 @@
 
 namespace ioc::fed {
 
-class Shard : public core::ManagerIf {
+class Shard {
  public:
   struct Options {
     des::SimTime policy_interval = 20 * des::kMillisecond;
@@ -56,21 +55,24 @@ class Shard : public core::ManagerIf {
 
   Shard(ev::Bus& bus, std::string id, net::NodeId node,
         const std::vector<net::NodeId>& staging, Options opt);
-  ~Shard() override;
+  ~Shard();
 
   /// Spawn the policy / heartbeat / trade-participant loops. Call after
   /// set_root and initial pipeline placement.
   void start();
 
-  // core::ManagerIf
-  const std::string& manager_id() const override { return id_; }
+  /// Stable identity in the fleet; consistent hashing keys on it.
+  const std::string& manager_id() const { return id_; }
   /// Interned form of manager_id(), cached at construction. The root's
   /// sweep and trade loops key their heartbeat/spares maps by this id every
   /// tick; re-interning the string there showed up in the fleet bench.
   util::NameId manager_name() const { return id_name_; }
-  core::ResourcePool& pool() override { return pool_; }
-  bool failed() const override { return fenced_ || crashed_; }
-  const std::vector<core::ControlTraceEvent>& control_trace() const override {
+  core::ResourcePool& pool() { return pool_; }
+  /// True once the shard crashed or was fenced by the root.
+  bool failed() const { return fenced_ || crashed_; }
+  /// Every control message this shard exchanged, in order; feed it to
+  /// lint::check_trace to audit a run offline.
+  const std::vector<core::ControlTraceEvent>& control_trace() const {
     return trace_.events();
   }
 

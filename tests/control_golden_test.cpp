@@ -145,9 +145,9 @@ PipelineGolden run_pipeline_chaos(std::uint64_t seed) {
   spec.steps = 12;
   core::StagedPipeline::Options opt;
   opt.seed = seed;
-  opt.gm.cm_timeout = 60 * kSecond;
-  opt.gm.cm_retries = 3;
-  opt.gm.cm_backoff = 2 * kSecond;
+  opt.gm.round.timeout = 60 * kSecond;
+  opt.gm.round.retries = 3;
+  opt.gm.round.backoff = 2 * kSecond;
   opt.faults_enabled = true;
   opt.faults.seed = seed;
   opt.faults.control.drop_rate = 0.05;

@@ -3,8 +3,8 @@
 // verifying each file exists, (b) IOCnnn diagnostic codes, verifying each
 // is a registered lint rule — and conversely that every registered rule is
 // documented in docs/DIAGNOSTICS.md — and (c) `ioc.bench.*` schema tags,
-// verifying each is in the bench_schemas.h table that bench_check
-// dispatches on. Run by ctest (docs.links) so renames, new rules, and
+// verifying each is the one ledger tag of bench_ledger.h that bench_check
+// validates. Run by ctest (docs.links) so renames, new rules, and
 // schema drift fail the build instead of rotting the docs.
 //
 // Extra .md files may be passed after the repo root; they are scanned with
@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_schemas.h"
+#include "bench_ledger.h"
 #include "lint/rules.h"
 
 namespace fs = std::filesystem;
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   const std::regex path_re(
       R"((?:src|docs|tools|bench|tests|examples)/[A-Za-z0-9_./-]*\.[A-Za-z0-9]+)");
   const std::regex code_re(R"(IOC[0-9]{3})");
-  // Bench artifact schema tags, e.g. "ioc.bench.kernels/v1". Every tag a doc
-  // quotes must be in the bench_schemas.h table bench_check dispatches on.
+  // Bench artifact schema tags, e.g. "ioc.bench.ledger/v1". Every tag a doc
+  // quotes must be the one ledger tag bench_check accepts.
   const std::regex schema_re(R"(ioc\.bench\.[A-Za-z0-9_]+/v[0-9]+)");
 
   int findings = 0;
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     for (auto it = std::sregex_iterator(text.begin(), text.end(), schema_re);
          it != std::sregex_iterator(); ++it) {
       const std::string tag = it->str();
-      if (!ioc::benchschema::is_known_schema(tag)) {
+      if (tag != ioc::bench::kLedgerSchema) {
         std::printf("%s:%d: unknown bench schema tag '%s'\n",
                     doc.string().c_str(),
                     line_of(text, static_cast<std::size_t>(it->position())),

@@ -3,16 +3,18 @@
 // Opens N concurrent keep-alive connections against a ServiceHost control
 // API and drives R total GET requests across them (alternating the pipeline
 // listing and the Prometheus endpoint), measuring per-request wall-clock
-// latency from write to fully parsed response. Emits BENCH_svc.json
-// (schema ioc.bench.svc/v1, unit p99_ms) for bench_check:
+// latency from write to fully parsed response. Emits BENCH_svc.json (the
+// ledger format of bench_ledger.h: p99_ms and requests_per_sec rows) for
+// bench_check:
 //
 //   ioc_loadgen --self-host --connections 256 --requests 4096 \
 //               --out BENCH_svc.json
 //
 // --self-host runs a ServiceHost (with a live SocketBus pipeline) on a
 // background thread and aims the load at it; --port aims at an already
-// running host instead. A response that never arrives counts in `dropped`
-// — the schema gate requires that column to be exactly zero.
+// running host instead. A response that never arrives counts in `dropped`,
+// and any drop (or short run) makes the exit status 1: a drop is a
+// correctness failure, not a slow run.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -29,6 +31,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "bench_ledger.h"
 #include "svc/host.h"
 #include "svc/reactor.h"
 #include "svc/socket.h"
@@ -270,32 +273,30 @@ int main(int argc, char** argv) {
   const double rps =
       wall_s > 0 ? static_cast<double>(stats.completed) / wall_s : 0.0;
 
+  const double p50 = pct(0.50);
+  const double p99 = pct(0.99);
   std::printf(
       "ioc_loadgen: %zu connections, %llu/%llu completed, %llu dropped\n"
       "  %.0f req/s, p50 %.3f ms, p99 %.3f ms\n",
       connections, static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.sent),
-      static_cast<unsigned long long>(dropped), rps, pct(0.50), pct(0.99));
+      static_cast<unsigned long long>(dropped), rps, p50, p99);
 
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ioc_loadgen: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"schema\": \"ioc.bench.svc/v1\",\n"
-               "  \"unit\": \"p99_ms\",\n"
-               "  \"results\": [\n"
-               "    {\"benchmark\": \"svc_http_get\", \"connections\": %zu, "
-               "\"requests\": %llu, \"requests_per_sec\": %.1f, "
-               "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"dropped\": %llu}\n"
-               "  ]\n"
-               "}\n",
-               connections, static_cast<unsigned long long>(stats.completed),
-               rps, pct(0.50), pct(0.99),
-               static_cast<unsigned long long>(dropped));
-  std::fclose(f);
+  // The connection count is part of the row name, so a committed baseline
+  // pins the concurrency it was recorded at (a smaller fresh run loses the
+  // row instead of silently comparing against it).
+  const std::string name = "svc_http/" + std::to_string(connections) + "conn";
+  const std::vector<ioc::bench::LedgerRow> rows = {
+      {"svc", name, "p99_ms", p99, "ms", /*higher_is_better=*/false,
+       /*sim_clock=*/false,
+       {{"p50_ms", p50},
+        {"connections", static_cast<double>(connections)},
+        {"requests", static_cast<double>(stats.completed)},
+        {"dropped", static_cast<double>(dropped)}}},
+      {"svc", name, "requests_per_sec", rps, "1/s", /*higher_is_better=*/true,
+       /*sim_clock=*/false, {}},
+  };
+  if (!ioc::bench::write_ledger(out, rows, "ioc_loadgen")) return 1;
 
   return dropped == 0 && stats.completed == requests ? 0 : 1;
 }
