@@ -23,7 +23,12 @@ void CellList::configure(const Box& box) {
   // A 3x3x3 stencil needs at least 3 cells per periodic dimension.
   use_cells_ = nx_ >= 3 && ny_ >= 3 && nz_ >= 3;
   if (!use_cells_) {
-    nx_ = ny_ = nz_ = 1;
+    // The binned pair search keeps the bins of the dimensions that have 3
+    // or more. A dimension with 1 or 2 bins becomes one bin: all of it is
+    // within reach anyway, and one bin lists each candidate once.
+    for (std::size_t* n : {&nx_, &ny_, &nz_}) {
+      if (*n < 3) *n = 1;
+    }
   }
 }
 
@@ -69,6 +74,108 @@ void CellList::build(const std::vector<Vec3>& pos) {
                                             cell_start_[c + 1] - cell_start_[c]);
   }
   if (skin_ > 0.0) build_pos_ = pos;
+}
+
+namespace {
+
+/// Ascending order for one candidate row. A row is a few dozen ids that
+/// arrive as one ascending run per stencil bin, so insertion sort beats
+/// std::sort there (it halved the sort's share of a slab scan); long rows
+/// (large cutoffs) take std::sort.
+void sort_row(std::uint32_t* row, std::size_t n) {
+  if (n > 64) {
+    std::sort(row, row + n);
+    return;
+  }
+  for (std::size_t a = 1; a < n; ++a) {
+    const std::uint32_t v = row[a];
+    std::size_t b = a;
+    for (; b > 0 && row[b - 1] > v; --b) row[b] = row[b - 1];
+    row[b] = v;
+  }
+}
+
+/// Neighbor bins of bin c along a dimension of n bins: c itself and, with
+/// 3 or more bins, the two beside it (distinct, so no atom is seen twice).
+std::size_t bins_around(std::size_t c, std::size_t n, std::size_t* out) {
+  if (n == 1) {
+    out[0] = 0;
+    return 1;
+  }
+  out[0] = (c + n - 1) % n;
+  out[1] = c;
+  out[2] = (c + 1) % n;
+  return 3;
+}
+
+}  // namespace
+
+CellList::RowScan::RowScan(const CellList& cl, const std::vector<Vec3>& pos,
+                           std::size_t first)
+    : cl_(cl),
+      pos_(pos),
+      len_(cl.box_.extent()),
+      inv_{1.0 / len_.x, 1.0 / len_.y, 1.0 / len_.z},
+      // The relative hair absorbs rounding where the multiply-by-inverse
+      // wrap picks the other image of a pair near len/2 (a box dimension
+      // here can be shorter than two cutoffs), so the candidates always
+      // include every pair the exact division-form test keeps.
+      reach2_(cl.cutoff_ * cl.cutoff_ * (1.0 + 1e-9)),
+      dx_(cl.max_cell_atoms_),
+      dy_(cl.max_cell_atoms_),
+      dz_(cl.max_cell_atoms_),
+      r2_(cl.max_cell_atoms_),
+      row_(cl.natoms_) {
+  // Current positions, not build-time ones: with a Verlet skin atoms drift
+  // between rebuilds, and bins of cutoff + skin still hold their neighbors.
+  lanes_.pack(pos, cl.cell_atoms_.data(), cl.natoms_);
+  // Atoms ascend within a bin, so "atoms above i" is a suffix that only
+  // shrinks as i grows: one cursor per bin, starting at the first atom >=
+  // `first`.
+  const std::size_t ncells = cl.cell_start_.size() - 1;
+  next_.resize(ncells);
+  for (std::size_t o = 0; o < ncells; ++o) {
+    const std::uint32_t* b = cl.cell_atoms_.data() + cl.cell_start_[o];
+    const std::uint32_t* e = cl.cell_atoms_.data() + cl.cell_start_[o + 1];
+    next_[o] = static_cast<std::uint32_t>(
+        std::lower_bound(b, e, first) - cl.cell_atoms_.data());
+  }
+}
+
+std::span<const std::uint32_t> CellList::RowScan::row(std::size_t i) {
+  const CellList& cl = cl_;
+  const std::size_t c = cl.cell_of(pos_[i]);
+  std::size_t xs[3], ys[3], zs[3];
+  const std::size_t mx = bins_around(c / (cl.ny_ * cl.nz_), cl.nx_, xs);
+  const std::size_t my = bins_around((c / cl.nz_) % cl.ny_, cl.ny_, ys);
+  const std::size_t mz = bins_around(c % cl.nz_, cl.nz_, zs);
+  std::size_t cnt = 0;
+  for (std::size_t a = 0; a < mx; ++a) {
+    for (std::size_t b = 0; b < my; ++b) {
+      for (std::size_t e = 0; e < mz; ++e) {
+        const std::size_t o = (xs[a] * cl.ny_ + ys[b]) * cl.nz_ + zs[e];
+        const std::uint32_t stop = cl.cell_start_[o + 1];
+        std::uint32_t s = next_[o];
+        while (s < stop && cl.cell_atoms_[s] <= i) ++s;
+        next_[o] = s;
+        const std::size_t m = stop - s;
+        if (m == 0) continue;
+        detail::wrapped_distances(pos_[i], len_, inv_, lanes_.x.data() + s,
+                                  lanes_.y.data() + s, lanes_.z.data() + s, m,
+                                  dx_.data(), dy_.data(), dz_.data(),
+                                  r2_.data());
+        // Branchless compaction: about one candidate in six survives, too
+        // unpredictable a branch to take per candidate. The survivors are
+        // distinct atoms above i, so row_'s n slots always suffice.
+        for (std::size_t k = 0; k < m; ++k) {
+          row_[cnt] = cl.cell_atoms_[s + k];
+          cnt += r2_[k] <= reach2_ ? 1 : 0;
+        }
+      }
+    }
+  }
+  sort_row(row_.data(), cnt);
+  return {row_.data(), cnt};
 }
 
 bool CellList::update(const Box& box, const std::vector<Vec3>& pos) {

@@ -1,22 +1,33 @@
-// Linked-cell neighbor search: O(n) pair enumeration for short-range
-// potentials and for the analytics kernels' cutoff queries. Falls back to
-// the O(n^2) double loop when the box is too small for a 3x3x3 cell stencil
-// (which would otherwise double-count periodic images).
+// Neighbor search for short-range potentials and for the analytics
+// kernels' cutoff queries, in one of two regimes chosen by the box:
+//
+// - Linked cells, when every dimension holds >= 3 bins of at least one
+//   cutoff (+ skin): O(n) pair enumeration over a half 3x3x3 stencil,
+//   visited cell by cell.
+// - A binned pair search, when some dimension holds fewer than 3 bins
+//   (thin slabs, small boxes), where the 3x3x3 stencil would double-count
+//   periodic images. Such a dimension becomes a single bin — all of it is
+//   within reach anyway — so each atom's stencil lists every bin once and
+//   still covers the minimum image of every pair. Atom by atom, the visitor
+//   filters the stencil's atoms j > i with a SIMD distance pass, orders
+//   the survivors by j, and re-tests each with Box::min_image and the exact
+//   cutoff: it calls back with the same pairs, order and bits as the
+//   all-pairs double loop it replaces, at O(n) cost and O(n) scratch.
 //
 // Storage is a flat CSR layout (cell_start_ offsets into one cell_atoms_
 // index array) rebuilt by counting sort, and the pair visitor is a template
-// so the per-pair callback inlines — no per-pair indirect call and no
-// per-cell heap allocation. The visitor's cell path is tiled over SoA
-// coordinate lanes so the distance math auto-vectorizes while visit order
-// and bits stay identical to the scalar loop (docs/PERFORMANCE.md).
-// An optional Verlet skin widens the bins by
-// `skin` so the structure stays valid until some atom drifts more than
-// skin/2 from its position at build time; update() performs that check and
-// rebuilds only when needed (or when the box deformed, e.g. under strain).
+// so the per-pair callback inlines. The distance math of both regimes runs
+// over SoA coordinate lanes in one vectorized helper while visit order and
+// bits stay identical to the scalar loop (docs/PERFORMANCE.md). An
+// optional Verlet skin widens the bins by `skin` so the structure stays
+// valid until some atom drifts more than skin/2 from its position at build
+// time; update() performs that check and rebuilds only when needed (or when
+// the box deformed, e.g. under strain).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -39,6 +50,37 @@ inline void invoke_pair(Fn& fn, std::size_t i, std::size_t j, double r2,
     fn(i, j, r2, d);
   } else {
     fn(i, j, r2);
+  }
+}
+
+/// Distance pass of one atom at p against m candidates in SoA lanes: the
+/// wrapped displacement p - cand[k] into dx/dy/dz[k] and its squared norm
+/// into r2[k], with the branchless multiply-by-inverse wrap. The loop has
+/// no data-dependent control flow; the restrict-qualified lanes spare GCC
+/// the run-time alias checks (3 inputs x 4 outputs) that otherwise exceed
+/// its vectorizer's limit, so it runs in SIMD.
+inline void wrapped_distances(const Vec3& p, const Vec3& len, const Vec3& inv,
+                              const double* __restrict xs,
+                              const double* __restrict ys,
+                              const double* __restrict zs, std::size_t m,
+                              double* __restrict dx_out,
+                              double* __restrict dy_out,
+                              double* __restrict dz_out,
+                              double* __restrict r2_out) {
+  const double xi = p.x, yi = p.y, zi = p.z;
+  const double lx = len.x, ly = len.y, lz = len.z;
+  const double ix = inv.x, iy = inv.y, iz = inv.z;
+  for (std::size_t k = 0; k < m; ++k) {
+    double dx = xi - xs[k];
+    double dy = yi - ys[k];
+    double dz = zi - zs[k];
+    dx -= lx * std::nearbyint(dx * ix);
+    dy -= ly * std::nearbyint(dy * iy);
+    dz -= lz * std::nearbyint(dz * iz);
+    dx_out[k] = dx;
+    dy_out[k] = dy;
+    dz_out[k] = dz;
+    r2_out[k] = dx * dx + dy * dy + dz * dz;
   }
 }
 
@@ -68,27 +110,29 @@ class CellList {
 
   /// Pair visitation restricted to a slice of the independent work domain:
   /// cells [begin, end) when the cell grid is active, first-atom indices
-  /// [begin, end) in the O(n^2) fallback. Every pair is owned by exactly
+  /// [begin, end) in the binned pair search. Every pair is owned by exactly
   /// one domain slot, so disjoint ranges visit disjoint pair sets — the
   /// unit the parallel kernels chunk over.
+  /// The pair search walks atom i's candidates (RowScan) in ascending j and
+  /// re-tests each with Box::min_image (the division form) and the exact
+  /// cutoff: the callbacks are the all-pairs loop's, in its (i, j) order,
+  /// with its bits.
   /// The cell path runs tiled: per cell pair the candidate coordinates are
-  /// gathered into SoA lanes (md/soa.h) and a branchless pass computes every
-  /// candidate's wrapped displacement and r2 into scratch arrays — that loop
-  /// has no data-dependent control flow, so it auto-vectorizes — then an
-  /// ordered scalar sweep invokes the callback on the survivors. Visit order
-  /// and per-pair arithmetic match the historical scalar loop exactly (see
-  /// docs/PERFORMANCE.md "Bit-identicality"), so threads=1 results are
+  /// gathered into SoA lanes (md/soa.h) and detail::wrapped_distances
+  /// computes every candidate's wrapped displacement and r2 into scratch
+  /// arrays in SIMD, then an ordered scalar sweep invokes the callback on
+  /// the survivors. Visit order and per-pair arithmetic match the
+  /// historical scalar loop exactly (see docs/PERFORMANCE.md
+  /// "Bit-identical by construction"), so threads=1 results are
   /// bit-for-bit unchanged.
   template <class Fn>
   void for_each_pair_range(const std::vector<Vec3>& pos, std::size_t begin,
                            std::size_t end, Fn&& fn) const {
     const double rc2 = cutoff_ * cutoff_;
     if (!use_cells_) {
-      // O(n^2) fallback: the box can be smaller than ~3 cutoffs per
-      // dimension here, where the multiply-by-inverse wrap below is not
-      // provably bit-equal to Box::min_image, so keep the division path.
+      RowScan scan(*this, pos, begin);
       for (std::size_t i = begin; i < end; ++i) {
-        for (std::size_t j = i + 1; j < pos.size(); ++j) {
+        for (const std::uint32_t j : scan.row(i)) {
           const Vec3 d = box_.min_image(pos[i], pos[j]);
           const double r2 = d.norm2();
           if (r2 <= rc2) detail::invoke_pair(fn, i, j, r2, d);
@@ -118,27 +162,14 @@ class CellList {
     other_soa.reserve(max_cell_atoms_);
     std::vector<double> tdx(max_cell_atoms_), tdy(max_cell_atoms_),
         tdz(max_cell_atoms_), tr2(max_cell_atoms_);
-    // One atom (slot `a` of `src`, already in SoA lanes) against candidate
-    // slots [j0, j0+m) of `cand`; `jatoms` maps candidate k to its atom id.
-    auto tile = [&](std::size_t i, const Soa3& src, std::size_t a,
-                    const Soa3& cand, std::size_t j0, std::size_t m,
-                    const std::uint32_t* jatoms) {
-      const double xi = src.x[a], yi = src.y[a], zi = src.z[a];
-      const double* xs = cand.x.data() + j0;
-      const double* ys = cand.y.data() + j0;
-      const double* zs = cand.z.data() + j0;
-      for (std::size_t k = 0; k < m; ++k) {
-        double dx = xi - xs[k];
-        double dy = yi - ys[k];
-        double dz = zi - zs[k];
-        dx -= len.x * std::nearbyint(dx * inv.x);
-        dy -= len.y * std::nearbyint(dy * inv.y);
-        dz -= len.z * std::nearbyint(dz * inv.z);
-        tdx[k] = dx;
-        tdy[k] = dy;
-        tdz[k] = dz;
-        tr2[k] = dx * dx + dy * dy + dz * dz;
-      }
+    // Atom i against candidate slots [j0, j0+m) of `cand`; `jatoms` maps
+    // candidate k to its atom id.
+    auto tile = [&](std::size_t i, const Soa3& cand, std::size_t j0,
+                    std::size_t m, const std::uint32_t* jatoms) {
+      detail::wrapped_distances(pos[i], len, inv, cand.x.data() + j0,
+                                cand.y.data() + j0, cand.z.data() + j0, m,
+                                tdx.data(), tdy.data(), tdz.data(),
+                                tr2.data());
       for (std::size_t k = 0; k < m; ++k) {
         if (tr2[k] <= rc2) {
           detail::invoke_pair(fn, i, static_cast<std::size_t>(jatoms[k]),
@@ -158,7 +189,7 @@ class CellList {
       home.pack(pos, cell, cell_n);
       // Pairs within the cell.
       for (std::size_t a = 0; a < cell_n; ++a) {
-        tile(cell[a], home, a, home, a + 1, cell_n - a - 1, cell + a + 1);
+        tile(cell[a], home, a + 1, cell_n - a - 1, cell + a + 1);
       }
       // Pairs with half of the neighboring cells (each cell pair visited
       // once).
@@ -180,7 +211,7 @@ class CellList {
             if (other_n == 0) continue;
             other_soa.pack(pos, other, other_n);
             for (std::size_t a = 0; a < cell_n; ++a) {
-              tile(cell[a], home, a, other_soa, 0, other_n, other);
+              tile(cell[a], other_soa, 0, other_n, other);
             }
           }
         }
@@ -208,6 +239,7 @@ class CellList {
   std::vector<std::vector<std::uint32_t>> neighbor_lists(
       const std::vector<Vec3>& pos) const;
 
+  /// True for the linked-cell regime, false for the binned pair search.
   bool using_cells() const { return use_cells_; }
   double cutoff() const { return cutoff_; }
   double skin() const { return skin_; }
@@ -218,6 +250,29 @@ class CellList {
  private:
   void configure(const Box& box);
   std::size_t cell_of(const Vec3& p) const;
+
+  /// Per-call scratch of the binned pair search: the current positions in
+  /// bin order as SoA lanes, and per bin a cursor past the atoms <= i.
+  class RowScan {
+   public:
+    /// Visits will start at atom `first`.
+    RowScan(const CellList& cl, const std::vector<Vec3>& pos,
+            std::size_t first);
+    /// Atom i's candidates j > i, ascending: every j within the cutoff and
+    /// a few just past it (a hair absorbs rounding). Calls must come with
+    /// ascending i; the span lives until the next call.
+    std::span<const std::uint32_t> row(std::size_t i);
+
+   private:
+    const CellList& cl_;
+    const std::vector<Vec3>& pos_;
+    Vec3 len_, inv_;
+    double reach2_;
+    Soa3 lanes_;
+    std::vector<std::uint32_t> next_;
+    std::vector<double> dx_, dy_, dz_, r2_;
+    std::vector<std::uint32_t> row_;
+  };
 
   Box box_;
   double cutoff_;

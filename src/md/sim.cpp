@@ -96,12 +96,16 @@ std::size_t MdSim::carve_notch(double x0, double x1, double half_width) {
 }
 
 std::vector<char> MdSim::checkpoint() const {
-  std::vector<char> out;
-  auto put = [&out](const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    out.insert(out.end(), c, c + n);
-  };
   const std::uint64_t n = atoms_.size();
+  const std::size_t per_atom = sizeof(std::int64_t) + 3 * sizeof(Vec3);
+  std::vector<char> out(sizeof(n) + sizeof(steps_) + sizeof(applied_strain_) +
+                        sizeof(atoms_.box) + n * per_atom);
+  std::size_t off = 0;
+  auto put = [&out, &off](const void* p, std::size_t bytes) {
+    if (bytes == 0) return;  // empty arrays may have a null data()
+    std::memcpy(out.data() + off, p, bytes);
+    off += bytes;
+  };
   put(&n, sizeof(n));
   put(&steps_, sizeof(steps_));
   put(&applied_strain_, sizeof(applied_strain_));

@@ -72,6 +72,25 @@ TEST(KernelGolden, MdSimStrainedTwentySteps) {
   EXPECT_EQ(h, 0x1334199121df731full);
 }
 
+TEST(KernelGolden, MdSimNotchedSlabTwentySteps) {
+  // The perfbench insitu_crack geometry: a 10x8x4 slab whose z extent is
+  // under three LJ cutoffs, so the force kernel runs the pair search for
+  // boxes too thin for the 3x3x3 cell stencil.
+  md::MdConfig cfg;
+  cfg.target_temperature = 0.02;
+  cfg.strain_rate = 0.3;
+  md::MdSim sim(md::make_fcc(10, 8, 4, md::kLjFccLatticeConstant), cfg, 1);
+  sim.carve_notch(0.0, 0.35 * sim.atoms().box.hi.x, 1.0);
+  sim.initialize_velocities();
+  sim.run(20);
+  const auto& a = sim.atoms();
+  std::uint64_t h = fnv(a.pos.data(), a.pos.size() * sizeof(md::Vec3));
+  h = fnv(a.force.data(), a.force.size() * sizeof(md::Vec3), h);
+  const double pe = sim.potential_energy();
+  h = fnv(&pe, sizeof(pe), h);
+  EXPECT_EQ(h, 0x617e8cc7fb82033aull);
+}
+
 TEST(KernelGolden, BondsCsrRows) {
   auto atoms = jiggled(4);
   sp::BondAnalysis bonds;

@@ -58,7 +58,9 @@ TEST(LintRules, IOC002DependencyCycle) {
   const LintResult r = lint_spec(spec);
   EXPECT_TRUE(codes(r).count("IOC002"));
   for (const auto& d : r.diagnostics) {
-    if (d.code == "IOC002") EXPECT_NE(d.container, "helper");
+    if (d.code == "IOC002") {
+      EXPECT_NE(d.container, "helper");
+    }
   }
   EXPECT_FALSE(codes(lint_spec(base_spec())).count("IOC002"));
 }

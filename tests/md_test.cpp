@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <utility>
 #include <vector>
@@ -87,16 +88,6 @@ TEST(CellList, MatchesNaiveEnumeration) {
     }
   }
   EXPECT_EQ(cell_pairs, naive_pairs);
-}
-
-TEST(CellList, SmallBoxFallsBackToNaive) {
-  auto atoms = make_fcc(2, 2, 2, 1.5);
-  CellList cl(atoms.box, 1.7);
-  EXPECT_FALSE(cl.using_cells());
-  cl.build(atoms.pos);
-  int pairs = 0;
-  cl.for_each_pair(atoms.pos, [&](std::size_t, std::size_t, double) { ++pairs; });
-  EXPECT_GT(pairs, 0);
 }
 
 TEST(LjForce, PerfectLatticeHasNearZeroNetForce) {
@@ -275,8 +266,9 @@ TEST(LjForce, PairTermsConsistentWithEnergyDerivative) {
 }
 
 // Some thermal disorder so pair distances are not lattice-degenerate.
-AtomData jiggled_crystal(std::size_t cells, double amp = 0.05) {
-  auto atoms = make_fcc(cells, cells, cells, kLjFccLatticeConstant);
+AtomData jiggled_fcc(std::size_t nx, std::size_t ny, std::size_t nz,
+                     double amp) {
+  auto atoms = make_fcc(nx, ny, nz, kLjFccLatticeConstant);
   std::uint64_t s = 12345;
   auto next = [&s] {
     s = s * 6364136223846793005ull + 1442695040888963407ull;
@@ -288,6 +280,10 @@ AtomData jiggled_crystal(std::size_t cells, double amp = 0.05) {
     p.z += amp * next();
   }
   return atoms;
+}
+
+AtomData jiggled_crystal(std::size_t cells, double amp = 0.05) {
+  return jiggled_fcc(cells, cells, cells, amp);
 }
 
 TEST(LjForce, ThreadsOneBitIdenticalToReferencePath) {
@@ -400,6 +396,132 @@ TEST(CellList, RebuildsWhenBoxChanges) {
   strained.hi.x *= 1.01;
   EXPECT_TRUE(cl.update(strained, atoms.pos));
   EXPECT_EQ(cl.builds(), 2u);
+}
+
+// --- The binned pair search (boxes with fewer than 3 bins in a dimension)
+
+/// One visitor callback, with r2 and the displacement as raw bits.
+struct PairVisit {
+  std::size_t i = 0, j = 0;
+  std::uint64_t r2 = 0, dx = 0, dy = 0, dz = 0;
+  bool operator==(const PairVisit&) const = default;
+};
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+PairVisit visit(std::size_t i, std::size_t j, double r2, const Vec3& d) {
+  return {i, j, bits(r2), bits(d.x), bits(d.y), bits(d.z)};
+}
+
+std::vector<PairVisit> visits_in(const CellList& cl,
+                                 const std::vector<Vec3>& pos,
+                                 std::size_t begin, std::size_t end) {
+  std::vector<PairVisit> out;
+  cl.for_each_pair_range(
+      pos, begin, end,
+      [&out](std::size_t i, std::size_t j, double r2, const Vec3& d) {
+        out.push_back(visit(i, j, r2, d));
+      });
+  return out;
+}
+
+/// The all-pairs loop the pair search must reproduce callback for callback.
+std::vector<PairVisit> all_pairs_visits(const Box& box, double cutoff,
+                                        const std::vector<Vec3>& pos) {
+  std::vector<PairVisit> out;
+  const double rc2 = cutoff * cutoff;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    for (std::size_t j = i + 1; j < pos.size(); ++j) {
+      const Vec3 d = box.min_image(pos[i], pos[j]);
+      const double r2 = d.norm2();
+      if (r2 <= rc2) out.push_back(visit(i, j, r2, d));
+    }
+  }
+  return out;
+}
+
+TEST(CellList, PairSearchMatchesAllPairsLoopBitForBit) {
+  struct Case {
+    const char* name;
+    AtomData atoms;
+    double cutoff;
+  };
+  auto strained = jiggled_fcc(10, 8, 4, 0.1);
+  strained.box.hi.x *= 1.37;
+  for (auto& p : strained.pos) p.x *= 1.37;
+  Case cases[] = {
+      // 6.2 cube: 2 bins per dimension, all of them within reach.
+      {"cube_6.2", jiggled_fcc(4, 4, 4, 0.1), 2.5},
+      // The insitu_crack slab: 6 x 4 x 2 bins.
+      {"slab_10x8x4", jiggled_fcc(10, 8, 4, 0.1), 2.5},
+      // ... strained along x, as the crack run stretches it.
+      {"slab_strained", strained, 2.5},
+      // 4.65 box, shorter than 2 cutoffs: pairs near len/2 both ways.
+      {"box_under_2_cutoffs", jiggled_fcc(3, 3, 3, 0.1), 2.5},
+      // Exact half-box separations: every wrap quotient is a tie.
+      {"sc_half_box_ties", make_sc(2, 2, 2, 1.2), 1.3},
+      // A 3.0 box, 1 bin of 1.7 per dimension.
+      {"fcc_2x2x2", make_fcc(2, 2, 2, 1.5), 1.7},
+  };
+  for (const auto& c : cases) {
+    CellList cl(c.atoms.box, c.cutoff);
+    ASSERT_FALSE(cl.using_cells()) << c.name;
+    cl.build(c.atoms.pos);
+    const auto want = all_pairs_visits(c.atoms.box, c.cutoff, c.atoms.pos);
+    ASSERT_FALSE(want.empty()) << c.name;
+    EXPECT_TRUE(visits_in(cl, c.atoms.pos, 0, cl.range_size()) == want)
+        << c.name;
+    // Chunks of the first-atom domain partition the same sequence.
+    const std::size_t n = cl.range_size();
+    const std::size_t cuts[] = {0, n / 3, n / 2 + 1, n};
+    std::vector<PairVisit> chunked;
+    for (std::size_t k = 0; k + 1 < std::size(cuts); ++k) {
+      const auto part = visits_in(cl, c.atoms.pos, cuts[k], cuts[k + 1]);
+      chunked.insert(chunked.end(), part.begin(), part.end());
+    }
+    EXPECT_TRUE(chunked == want) << c.name << " chunked";
+  }
+}
+
+TEST(CellList, PairSearchStaysExactAcrossUpdates) {
+  for (double skin : {0.0, 0.3}) {
+    auto atoms = jiggled_fcc(10, 8, 4, 0.1);
+    const double cutoff = 2.5;
+    CellList cl(atoms.box, cutoff, skin);
+    ASSERT_FALSE(cl.using_cells());
+    cl.build(atoms.pos);
+    std::uint64_t s = 99;
+    auto next = [&s] {
+      s = s * 6364136223846793005ull + 1442695040888963407ull;
+      return static_cast<double>(s >> 11) / 9007199254740992.0 - 0.5;
+    };
+    for (int step = 0; step < 6; ++step) {
+      // Small drifts keep a skinned list; every third step moves one atom
+      // past skin/2 and forces a rebuild.
+      for (auto& p : atoms.pos) {
+        p.x += 0.04 * next();
+        p.y += 0.04 * next();
+        p.z += 0.04 * next();
+      }
+      if (step % 3 == 2) atoms.pos[step].z += 0.2;
+      const std::uint64_t before = cl.builds();
+      const bool rebuilt = cl.update(atoms.box, atoms.pos);
+      EXPECT_EQ(cl.builds(), before + (rebuilt ? 1 : 0));
+      if (skin == 0.0) {
+        EXPECT_TRUE(rebuilt);
+      }
+      EXPECT_TRUE(visits_in(cl, atoms.pos, 0, cl.range_size()) ==
+                  all_pairs_visits(atoms.box, cutoff, atoms.pos))
+          << "skin " << skin << " step " << step;
+    }
+    if (skin > 0.0) {
+      EXPECT_LT(cl.builds(), 7u);  // some updates reused the bins
+    }
+  }
 }
 
 TEST(MdSim, ThreadedRunMatchesSerial) {

@@ -7,8 +7,7 @@
 // ledger format of bench_ledger.h: p99_ms and requests_per_sec rows) for
 // bench_check:
 //
-//   ioc_loadgen --self-host --connections 256 --requests 4096 \
-//               --out BENCH_svc.json
+//   ioc_loadgen --self-host --connections 256 --requests 4096 --out BENCH_svc.json
 //
 // --self-host runs a ServiceHost (with a live SocketBus pipeline) on a
 // background thread and aims the load at it; --port aims at an already
